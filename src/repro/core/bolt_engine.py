@@ -34,7 +34,7 @@ from ..engines.leveldb import LevelDBEngine, leveldb_options
 from ..engines.rocksdb import RocksDBEngine, rocksdb_options
 from ..lsm import Options
 from ..lsm.engine import Compaction, Event, OutputSink
-from ..lsm.version import FileMetaData, Version
+from ..lsm.version import FileMetaData, KeyRangeIndex, Version
 from ..storage import FileSystemError, SimFS
 from ..sim import Environment
 from .compaction_file import CompactionFileSink
@@ -126,16 +126,19 @@ class BoLTMixin:
             return super()._split_settled(compaction)
         settled: List[FileMetaData] = []
         merge: List[FileMetaData] = []
+        next_level = KeyRangeIndex(compaction.overlaps)
+        level0 = (KeyRangeIndex(compaction.victims) if compaction.level == 0
+                  else None)
         for victim in compaction.victims:
-            overlaps_next = any(victim.overlaps(o.smallest, o.largest)
-                                for o in compaction.overlaps)
-            if not overlaps_next and compaction.level == 0:
+            overlaps_next = next_level.any_overlap(victim.smallest,
+                                                   victim.largest)
+            if not overlaps_next and level0 is not None:
                 # Level-0 victims may share keys; a victim can only
                 # settle if it overlaps no *other* victim, or a newer
                 # version of one of its keys could end up below it.
-                overlaps_next = any(
-                    victim.overlaps(other.smallest, other.largest)
-                    for other in compaction.victims if other is not victim)
+                # (Every victim overlaps itself, hence "> 1".)
+                overlaps_next = len(level0.overlapping(
+                    victim.smallest, victim.largest)) > 1
             (merge if overlaps_next else settled).append(victim)
         return settled, merge
 

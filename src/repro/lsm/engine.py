@@ -31,7 +31,8 @@ from .memtable import FOUND, NOT_FOUND, MemTable
 from .manifest import VersionEdit, VersionSet
 from .options import Options
 from .sstable import SSTableBuilder
-from .version import FileMetaData, Version, key_range
+from .version import (FileMetaData, KeyRangeIndex, Version, key_range,
+                      partition_by_overlap)
 from .wal import LogWriter, WriteBatch, read_log_records
 
 __all__ = ["LSMEngine", "EngineStats", "Compaction", "OutputSink",
@@ -1220,11 +1221,8 @@ class LSMEngine:
         # may span next-level files that overlap no merge victim at all;
         # those stay untouched.  Output tables are cut at their smallest
         # keys so the level's disjointness survives.
-        merge_overlaps = [o for o in compaction.overlaps
-                          if any(o.overlaps(v.smallest, v.largest)
-                                 for v in merge_victims)]
-        untouched = [o for o in compaction.overlaps
-                     if o not in merge_overlaps]
+        merge_overlaps, untouched = partition_by_overlap(compaction.overlaps,
+                                                         merge_victims)
 
         edit = VersionEdit()
         output_metas: List[FileMetaData] = []
@@ -1260,9 +1258,11 @@ class LSMEngine:
         # unsafe ones fall back to staying at their level untouched.
         promoted: List[FileMetaData] = []
         fallback: List[FileMetaData] = []
+        outputs = KeyRangeIndex(output_metas)
         for meta in settled:
-            safe = all(not meta.overlaps(o.smallest, o.largest)
-                       for o in output_metas + promoted)
+            safe = (not outputs.any_overlap(meta.smallest, meta.largest)
+                    and all(not meta.overlaps(o.smallest, o.largest)
+                            for o in promoted))
             (promoted if safe else fallback).append(meta)
 
         for meta in compaction.victims:

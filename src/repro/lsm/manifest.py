@@ -12,7 +12,7 @@ write-temp / fsync / rename dance.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 
 from ..sim import CpuMeter, Environment, Event, Resource
 from ..storage import FileHandle, SimFS
@@ -250,10 +250,9 @@ class VersionSet:
         compaction files (flush units) — otherwise a single flush would
         instantly trip L0SlowDown/L0Stop.
         """
-        files = self.current.files[0]
         if self.options.use_compaction_file:
-            return len({meta.container for meta in files})
-        return len(files)
+            return self.current.l0_container_count()
+        return len(self.current.files[0])
 
     def level_score(self, level: int) -> float:
         """> 1.0 means the level needs compaction (LevelDB's scoring)."""
@@ -283,9 +282,12 @@ class VersionSet:
         for level, key in edit.compact_pointers:
             self.compact_pointers[level] = key
         version = self.current.clone()
+        deleted: Dict[int, Set[int]] = {}
         for level, number in edit.deleted_files:
-            version.remove_file(level, number)
+            deleted.setdefault(level, set()).add(number)
             version.quarantined.discard(number)  # gone = no longer suspect
+        for level, numbers in deleted.items():
+            version.remove_files(level, numbers)
         for level, meta in edit.new_files:
             version.add_file(level, meta)
             # Never reissue a number observed in the log (recovery path).

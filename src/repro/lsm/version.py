@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-__all__ = ["FileMetaData", "Version"]
+__all__ = ["FileMetaData", "KeyRangeIndex", "Version", "partition_by_overlap"]
 
 
 @dataclass(eq=False)
@@ -53,6 +55,72 @@ def key_range(files: Sequence[FileMetaData]) -> Tuple[bytes, bytes]:
     return smallest, largest
 
 
+class KeyRangeIndex:
+    """Tables sorted by smallest key, answering range-overlap queries by
+    bisection.
+
+    ``reach[i]`` is the largest ``largest`` key among ``files[:i + 1]``:
+    it never decreases, even when tables overlap (level 0, PebblesDB
+    guards), so every table before ``bisect_left(reach, lo)`` ends below
+    ``lo`` and every table from ``bisect_right(starts, hi)`` on starts
+    above ``hi``.  On a disjoint level ``reach`` is exactly the
+    largest-key array.  The sort is stable, so an input already sorted
+    by smallest key keeps its order in every answer.
+    """
+
+    __slots__ = ("files", "starts", "reach")
+
+    def __init__(self, files: Sequence[FileMetaData]):
+        self.files: List[FileMetaData] = sorted(files, key=attrgetter("smallest"))
+        self.starts: List[bytes] = [f.smallest for f in self.files]
+        self.reach: List[bytes] = list(accumulate(
+            (f.largest for f in self.files), max))
+
+    def _window(self, smallest: Optional[bytes],
+                largest: Optional[bytes]) -> Tuple[int, int]:
+        start = 0 if smallest is None else bisect.bisect_left(
+            self.reach, smallest)
+        stop = len(self.files) if largest is None else bisect.bisect_right(
+            self.starts, largest)
+        return start, stop
+
+    def overlapping(self, smallest: Optional[bytes],
+                    largest: Optional[bytes]) -> List[FileMetaData]:
+        """Tables overlapping ``[smallest, largest]`` (None = open), in
+        index order."""
+        start, stop = self._window(smallest, largest)
+        window = self.files[start:stop]
+        if smallest is None:
+            return window
+        return [f for f in window if f.largest >= smallest]
+
+    def any_overlap(self, smallest: Optional[bytes],
+                    largest: Optional[bytes]) -> bool:
+        """True if any table overlaps ``[smallest, largest]``.
+
+        A non-empty window suffices: the table whose ``largest`` set
+        ``reach[start]`` sits at or before ``start``, so it ends at or
+        after ``smallest`` and starts at or below ``starts[start]``,
+        which is at most ``largest``.
+        """
+        start, stop = self._window(smallest, largest)
+        return start < stop
+
+
+def partition_by_overlap(tables: Sequence[FileMetaData],
+                         others: Sequence[FileMetaData]
+                         ) -> Tuple[List[FileMetaData], List[FileMetaData]]:
+    """``(hit, clear)``: the ``tables`` that overlap some table of
+    ``others``, and the rest, each in input order."""
+    index = KeyRangeIndex(others)
+    hit: List[FileMetaData] = []
+    clear: List[FileMetaData] = []
+    for meta in tables:
+        (hit if index.any_overlap(meta.smallest, meta.largest)
+         else clear).append(meta)
+    return hit, clear
+
+
 class Version:
     """An immutable snapshot of the table tree.
 
@@ -61,9 +129,15 @@ class Version:
     """
 
     def __init__(self, num_levels: int):
+        #: Mutated only through :meth:`add_file`/:meth:`remove_files`,
+        #: which keep the caches below in step.
         self.files: List[List[FileMetaData]] = [[] for _ in range(num_levels)]
-        #: Per-level lazy cache of ``[f.largest for f in files[level]]``.
-        self._largest_cache: List[Optional[List[bytes]]] = [None] * num_levels
+        #: Per-level lazy :class:`KeyRangeIndex` (levels >= 1), dropped
+        #: whenever the level changes.  Indexes are immutable, so clones
+        #: share them until their own level changes.
+        self._index: List[Optional[KeyRangeIndex]] = [None] * num_levels
+        #: Lazy count of distinct level-0 containers (BoLT flush units).
+        self._l0_containers: Optional[int] = None
         #: Per-level byte totals, maintained incrementally — compaction
         #: scoring reads these on every write, so summing the level's
         #: file list each time is quadratic in practice.
@@ -88,6 +162,8 @@ class Version:
         """An independent copy of this version's per-level file lists."""
         version = Version(self.num_levels)
         version.files = [list(level) for level in self.files]
+        version._index = list(self._index)
+        version._l0_containers = self._l0_containers
         version._level_bytes = list(self._level_bytes)
         version.quarantined = set(self.quarantined)
         version.remote_containers = dict(self.remote_containers)
@@ -113,10 +189,6 @@ class Version:
         """Total table bytes across all levels."""
         return sum(self._level_bytes)
 
-    def total_files(self) -> int:
-        """Total table count across all levels."""
-        return sum(len(level) for level in self.files)
-
     def live_numbers(self) -> Dict[int, FileMetaData]:
         """Mapping ``table number -> metadata`` for every referenced table."""
         return {f.number: f for level in self.files for f in level}
@@ -134,11 +206,14 @@ class Version:
     def add_file(self, level: int, meta: FileMetaData) -> None:
         """Insert ``meta`` at ``level``, keeping the level sorted."""
         files = self.files[level]
-        self._largest_cache[level] = None
+        self._changed(level)
         self._level_bytes[level] += meta.length
         if level == 0:
-            files.append(meta)
-            files.sort(key=lambda f: f.number)
+            # Ordered by number; new tables almost always sort last.
+            index = len(files)
+            while index and files[index - 1].number > meta.number:
+                index -= 1
+            files.insert(index, meta)
         else:
             # Manual bisect on the smallest key: O(log n) compares
             # without materializing a key list per insert.
@@ -154,14 +229,38 @@ class Version:
 
     def remove_file(self, level: int, number: int) -> bool:
         """Remove table ``number`` from ``level``; True if it was present."""
+        return self.remove_files(level, {number}) > 0
+
+    def remove_files(self, level: int, numbers: Set[int]) -> int:
+        """Remove every table in ``numbers`` from ``level`` in one pass;
+        returns how many were present."""
         files = self.files[level]
-        for index, meta in enumerate(files):
-            if meta.number == number:
-                del files[index]
-                self._largest_cache[level] = None
-                self._level_bytes[level] -= meta.length
-                return True
-        return False
+        kept: List[FileMetaData] = []
+        freed = 0
+        for meta in files:
+            if meta.number in numbers:
+                freed += meta.length
+            else:
+                kept.append(meta)
+        removed = len(files) - len(kept)
+        if removed:
+            files[:] = kept
+            self._changed(level)
+            self._level_bytes[level] -= freed
+        return removed
+
+    def _changed(self, level: int) -> None:
+        """Drop the caches derived from ``files[level]``."""
+        self._index[level] = None
+        if level == 0:
+            self._l0_containers = None
+
+    def l0_container_count(self) -> int:
+        """Number of distinct containers among the level-0 tables."""
+        if self._l0_containers is None:
+            self._l0_containers = len({meta.container
+                                       for meta in self.files[0]})
+        return self._l0_containers
 
     # -- lookups ------------------------------------------------------------
 
@@ -177,23 +276,19 @@ class Version:
             hits = [f for f in files if f.smallest <= user_key <= f.largest]
             hits.sort(key=lambda f: f.number, reverse=True)
             return hits
-        index = bisect.bisect_left(self._largest_keys(level), user_key)
+        # On the disjoint levels this serves, ``reach`` is the largest-key
+        # array (PebblesDB's overlapping levels override the probe).
+        index = bisect.bisect_left(self._level_index(level).reach, user_key)
         if index < len(files) and files[index].smallest <= user_key:
             return [files[index]]
         return []
 
-    def _largest_keys(self, level: int) -> List[bytes]:
-        """Cached parallel array of each table's largest key at ``level``.
-
-        Rebuilt lazily after :meth:`add_file`/:meth:`remove_file`
-        invalidate it; read paths bisect this array instead of
-        materializing it per lookup.
-        """
-        cached = self._largest_cache[level]
-        if cached is None:
-            cached = [f.largest for f in self.files[level]]
-            self._largest_cache[level] = cached
-        return cached
+    def _level_index(self, level: int) -> KeyRangeIndex:
+        """The cached :class:`KeyRangeIndex` over ``files[level]``."""
+        index = self._index[level]
+        if index is None:
+            index = self._index[level] = KeyRangeIndex(self.files[level])
+        return index
 
     def overlapping_files(self, level: int, smallest: Optional[bytes],
                           largest: Optional[bytes]) -> List[FileMetaData]:
@@ -228,17 +323,7 @@ class Version:
                         changed = True
             result.sort(key=lambda f: f.number)
             return result
-        # Levels >= 1: a plain scan with the range checks inlined.  (No
-        # bisect here: PebblesDB levels hold overlapping tables, so the
-        # "overlap set is one contiguous slice" shortcut would be wrong.)
-        if smallest is None and largest is None:
-            return list(files)
-        if smallest is None:
-            return [f for f in files if f.smallest <= largest]
-        if largest is None:
-            return [f for f in files if f.largest >= smallest]
-        return [f for f in files
-                if f.largest >= smallest and f.smallest <= largest]
+        return self._level_index(level).overlapping(smallest, largest)
 
     def check_invariants(self) -> None:
         """Assert levels >= 1 are sorted and disjoint (test helper)."""

@@ -4,8 +4,8 @@ Where :mod:`repro.tools.dbbench` reports **virtual** time (the modelled
 device), this tool reports **wall-clock** time: how fast the simulator
 itself runs on the host.  It pins the hot paths that
 ``docs/PERFORMANCE.md`` documents — kernel event churn, SSTable block
-encode/decode, skiplist insert/seek, histogram recording, and an
-end-to-end YCSB-A suite slice — so a regression in any of them shows up
+encode/decode, skiplist insert/seek, histogram recording, version
+key-range queries, and an end-to-end YCSB-A suite slice — so a regression in any of them shows up
 as a number, not as a mysteriously slower CI run.
 
 Usage::
@@ -170,6 +170,57 @@ def bench_objstore_cache() -> Tuple[float, str]:
         "miss_p999_ms": cache.snapshot()["miss_p999_ms"],
     })
     return elapsed, digest
+
+
+@_benchmark
+def bench_version() -> Tuple[float, str]:
+    """Settled-victim ranking + overlap queries on a BoLT-shaped Version.
+
+    2000 logical SSTables over levels 1-3 (disjoint ranges per level).
+    Ten rounds each rank levels 1 and 2 by next-level overlap bytes
+    (BoLT's settled sort key), then drop the eight best victims per
+    level in a fresh clone; 2000 ``overlapping_files`` range queries
+    follow.
+    """
+    import random
+
+    from ..lsm.version import FileMetaData, Version
+    rng = random.Random(5)
+    version = Version(4)
+    number = 0
+    for level, count in ((1, 200), (2, 600), (3, 1200)):
+        cuts = sorted(rng.sample(range(10 ** 9), 2 * count))
+        for lo, hi in zip(cuts[::2], cuts[1::2]):
+            number += 1
+            version.add_file(level, FileMetaData(
+                number=number, container="%06d.cf" % (number // 64),
+                offset=(number % 64) << 20, length=rng.randrange(1 << 19, 1 << 20),
+                smallest=b"user%019d" % lo, largest=b"user%019d" % hi))
+    queries = []
+    for _ in range(2000):
+        lo = rng.randrange(10 ** 9)
+        queries.append((rng.randrange(1, 4), b"user%019d" % lo,
+                        b"user%019d" % (lo + rng.randrange(10 ** 7))))
+
+    def ranked(v: Version, level: int) -> List[FileMetaData]:
+        """``level``'s tables by ascending next-level overlap bytes."""
+        return sorted(v.files[level], key=lambda f: (sum(
+            o.length for o in v.overlapping_files(level + 1, f.smallest, f.largest)),
+            f.number))
+
+    started = time.perf_counter()  # simcheck: waive[SIM001] host-time harness
+    chosen = []
+    for _ in range(10):
+        for level in (1, 2):
+            victims = [f.number for f in ranked(version, level)[:8]]
+            chosen.append(victims)
+            version = version.clone()
+            for victim in victims:
+                version.remove_file(level, victim)
+    overlaps = [[f.number for f in version.overlapping_files(level, lo, hi)]
+                for level, lo, hi in queries]
+    elapsed = time.perf_counter() - started  # simcheck: waive[SIM001] host-time harness
+    return elapsed, _fingerprint({"victims": chosen, "overlaps": overlaps})
 
 
 @_benchmark

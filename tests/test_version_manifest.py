@@ -1,9 +1,14 @@
 """Unit tests for Version bookkeeping and MANIFEST machinery."""
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.lsm import FileMetaData, Options, Version, VersionEdit, VersionSet
+from repro.core import BoLTMixin
+from repro.lsm import (Compaction, FileMetaData, Options, Version, VersionEdit,
+                       VersionSet)
+from repro.lsm.version import KeyRangeIndex, partition_by_overlap
 
 
 def meta(number, smallest, largest, length=1000, container=None, offset=0):
@@ -109,6 +114,185 @@ class TestVersion:
         clone.remove_file(1, 1)
         assert v.num_files(1) == 1
         assert clone.num_files(1) == 0
+
+
+def _key(i):
+    return b"k%03d" % i
+
+
+def _brute(files, lo, hi):
+    """The linear overlap scan the index replaced (reference)."""
+    return [f for f in files if f.overlaps(lo, hi)]
+
+
+#: A key-range bound: a key, or None for an open end.
+_bound = st.one_of(st.none(), st.integers(0, 60).map(_key))
+
+
+@st.composite
+def _disjoint_tables(draw, first_number=1):
+    """A level-shaped run: sorted, pairwise-disjoint key ranges."""
+    cuts = sorted(draw(st.sets(st.integers(0, 60), max_size=24)))
+    tables, number = [], first_number
+    for lo, hi in zip(cuts[::2], cuts[1::2]):
+        tables.append(meta(number, _key(lo), _key(hi),
+                           length=draw(st.integers(1, 5000))))
+        number += 1
+    return tables
+
+
+@st.composite
+def _overlapping_tables(draw, first_number=1):
+    """PebblesDB-shaped: arbitrary (possibly nested) key ranges."""
+    spans = draw(st.lists(st.tuples(st.integers(0, 60), st.integers(0, 60)),
+                          max_size=16))
+    return [meta(first_number + i, _key(min(a, b)), _key(max(a, b)),
+                 length=1000 + i, container=f"c{i % 3}.cf")
+            for i, (a, b) in enumerate(spans)]
+
+
+def _tables():
+    return st.one_of(_disjoint_tables(), _overlapping_tables())
+
+
+class TestKeyRangeIndex:
+    @settings(max_examples=150, deadline=None)
+    @given(_tables(), st.randoms(use_true_random=False), _bound, _bound)
+    def test_matches_linear_scan(self, tables, rnd, lo, hi):
+        shuffled = list(tables)
+        rnd.shuffle(shuffled)
+        index = KeyRangeIndex(shuffled)
+        ordered = sorted(shuffled, key=lambda f: f.smallest)  # stable
+        expected = _brute(ordered, lo, hi)
+        assert index.overlapping(lo, hi) == expected
+        assert index.any_overlap(lo, hi) == bool(expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_tables(), _bound, _bound)
+    def test_version_overlapping_files_matches_linear_scan(self, tables,
+                                                           lo, hi):
+        v = Version(3)
+        for f in tables:
+            v.add_file(1, f)
+        assert v.overlapping_files(1, lo, hi) == _brute(v.files[1], lo, hi)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_disjoint_tables(), st.integers(0, 60).map(_key))
+    def test_tables_for_key_matches_linear_scan(self, tables, key):
+        v = Version(3)
+        for f in tables:
+            v.add_file(1, f)
+        assert v.tables_for_key(1, key) == [
+            f for f in v.files[1] if f.smallest <= key <= f.largest]
+
+    def test_empty_index(self):
+        index = KeyRangeIndex([])
+        assert index.overlapping(None, None) == []
+        assert not index.any_overlap(b"a", b"z")
+
+
+class TestOverlapPartitions:
+    """The compaction-time overlap splits against the pairwise formula."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_tables(), _disjoint_tables(first_number=100))
+    def test_merge_overlap_partition(self, victims, overlaps):
+        hit, clear = partition_by_overlap(overlaps, victims)
+        assert hit == [o for o in overlaps
+                       if any(o.overlaps(v.smallest, v.largest)
+                              for v in victims)]
+        assert clear == [o for o in overlaps if o not in hit]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2), _tables(), _disjoint_tables(first_number=100))
+    def test_bolt_split_settled(self, level, victims, overlaps):
+        engine = SimpleNamespace(
+            options=SimpleNamespace(enable_settled_compaction=True))
+        if level > 0:
+            victims = sorted(victims, key=lambda f: f.smallest)
+        compaction = Compaction(level, victims, overlaps, False)
+        settled, merge = BoLTMixin._split_settled(engine, compaction)
+        expected_merge = []
+        for victim in victims:
+            blocked = any(victim.overlaps(o.smallest, o.largest)
+                          for o in overlaps)
+            if not blocked and level == 0:
+                blocked = any(victim.overlaps(other.smallest, other.largest)
+                              for other in victims if other is not victim)
+            if blocked:
+                expected_merge.append(victim)
+        assert merge == expected_merge
+        assert settled == [v for v in victims if v not in expected_merge]
+
+
+class TestVersionCaches:
+    """Cached indexes and counts stay in step with ``files``."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_tables(), st.data())
+    def test_remove_files_matches_sequential_remove_file(self, tables, data):
+        one, batch = Version(3), Version(3)
+        for f in tables:
+            one.add_file(1, f)
+            batch.add_file(1, f)
+        # Warm the caches so removal must invalidate them.
+        batch.overlapping_files(1, None, None)
+        numbers = data.draw(st.sets(st.integers(0, 30)))
+        for number in sorted(numbers):
+            one.remove_file(1, number)
+        removed = batch.remove_files(1, numbers)
+        assert removed == len(tables) - len(batch.files[1])
+        assert batch.files[1] == one.files[1]
+        assert batch.level_bytes(1) == one.level_bytes(1)
+        assert batch.level_bytes(1) == sum(f.length for f in batch.files[1])
+        for i in range(0, 61, 3):
+            key = _key(i)
+            assert (batch.overlapping_files(1, key, _key(i + 9))
+                    == one.overlapping_files(1, key, _key(i + 9))
+                    == _brute(batch.files[1], key, _key(i + 9)))
+            assert batch.tables_for_key(1, key) == one.tables_for_key(1, key)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["add", "remove", "remove_many",
+                                               "clone"]),
+                              st.integers(1, 12), st.integers(0, 3)),
+                    max_size=30))
+    def test_l0_container_count_tracks_files(self, ops):
+        v = Version(3)
+        v.l0_container_count()
+        older = []
+        for op, number, container in ops:
+            if op == "add" and all(f.number != number for f in v.files[0]):
+                v.add_file(0, meta(number, b"a", b"z",
+                                   container=f"{container}.cf"))
+            elif op == "remove":
+                v.remove_file(0, number)
+            elif op == "remove_many":
+                v.remove_files(0, {number, number + 1})
+            elif op == "clone":
+                older.append((v, [f.container for f in v.files[0]]))
+                v = v.clone()
+            assert v.l0_container_count() == len(
+                {f.container for f in v.files[0]})
+            assert [f.number for f in v.files[0]] == sorted(
+                f.number for f in v.files[0])
+        # A clone shares cached state, never later changes.
+        for version, containers in older:
+            assert [f.container for f in version.files[0]] == containers
+            assert version.l0_container_count() == len(set(containers))
+
+    def test_clone_keeps_index_independent(self):
+        v = Version(3)
+        v.add_file(1, meta(1, b"a", b"c"))
+        v.add_file(1, meta(2, b"e", b"g"))
+        assert [f.number for f in v.overlapping_files(1, None, None)] == [1, 2]
+        clone = v.clone()
+        clone.remove_file(1, 1)
+        clone.add_file(1, meta(3, b"x", b"z"))
+        assert [f.number for f in v.overlapping_files(1, None, None)] == [1, 2]
+        assert [f.number for f in clone.overlapping_files(1, None, None)] == [2, 3]
+        assert v.tables_for_key(1, b"y") == []
+        assert [f.number for f in clone.tables_for_key(1, b"y")] == [3]
 
 
 class TestVersionEdit:
