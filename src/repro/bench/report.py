@@ -143,12 +143,8 @@ def _cluster_snapshot(cluster, tracer=None, server=None,
         per_shard["read_only"] = int(shard.primary.db.health.read_only)
         snap[f"shard{shard.shard_id}"] = per_shard
     snap["replication"] = replication
-    fabric = getattr(cluster, "fabric", None)
-    if fabric is not None:
-        # Net counters exist only when a fabric routes the traffic, so
-        # the no-fabric snapshot stays byte-identical to before.
-        snap["net"] = {key: float(value)
-                       for key, value in fabric.snapshot().items()}
+    snap["net"] = {key: float(value)
+                   for key, value in cluster.fabric.snapshot().items()}
     if tracer is None:
         tracer = getattr(cluster.env, "tracer", None)
     if tracer is not None and getattr(tracer, "enabled", False):

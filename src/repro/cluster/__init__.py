@@ -4,7 +4,8 @@ The scale-out layer over the single-node engines: a
 :class:`ShardRouter` partitions keys (hash or range) across N shards,
 each shard being a primary engine plus R replicas on independent
 simulated machines; :class:`~repro.cluster.replication.ReplicationLink`
-ships committed WAL records primary→replica with bounded lag, and the
+ships committed WAL records primary→replica over the one
+:class:`~repro.cluster.net.NetworkFabric` with a bounded backlog, and the
 :class:`~repro.cluster.failover.FailoverController` promotes the
 freshest replica after a primary death, replaying the dead node's WAL
 tail first so no acked write is lost (docs/FAULT_MODEL.md §6).

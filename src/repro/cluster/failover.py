@@ -27,15 +27,16 @@ Detection latency is one heartbeat interval; promotion cost is the tail
 read + replay, all in virtual time — both land in the open-loop tail
 percentiles rather than disappearing.
 
-**Fabric mode** (a :class:`~repro.cluster.net.NetworkFabric` is
-installed) changes both detection and promotion:
+The cluster's :class:`~repro.cluster.net.NetworkFabric` shapes both
+detection and promotion:
 
 * Detection runs over the fabric's datagram channel: a heartbeat probe
   can be lost or slowed without the primary being dead, so the
   controller requires ``grace_misses`` *consecutive* misses before
   acting — a slow-but-alive primary is not promoted away on one unlucky
-  probe.  A confirmed death (the connection-reset event) still fails
-  over immediately, as before.
+  probe.  The default probe timeout is never shorter than the wire's
+  slowest round trip, so a fault-free wire never misses.  A confirmed
+  death (the connection-reset event) fails over immediately.
 * A primary that misses its grace window while **alive** is partitioned
   or gray, not dead: its disk is unreachable, so there is no tail to
   replay.  Instead the controller waits for the replica side of the cut
@@ -107,8 +108,7 @@ class FailoverController:
     """Detects dead (or fenced-away) primaries and promotes replicas."""
 
     def __init__(self, env: Environment, shards: List[Any],
-                 heartbeat_interval: float = 0.005,
-                 fabric: Optional[NetworkFabric] = None,
+                 fabric: NetworkFabric, heartbeat_interval: float = 0.005,
                  grace_misses: int = 3,
                  probe_timeout: Optional[float] = None):
         if heartbeat_interval <= 0:
@@ -120,8 +120,13 @@ class FailoverController:
         self.heartbeat_interval = heartbeat_interval
         self.fabric = fabric
         self.grace_misses = grace_misses
-        self.probe_timeout = (probe_timeout if probe_timeout is not None
-                              else heartbeat_interval)
+        if probe_timeout is None:
+            # A probe is two one-way hops, each at most delay*(1+jitter)
+            # (loss retransmits are not charged to probes).
+            net = fabric.config
+            probe_timeout = max(heartbeat_interval,
+                                2 * net.delay * (1 + net.jitter))
+        self.probe_timeout = probe_timeout
         self._misses: Dict[int, int] = {}
         self._stopped = False
         self._proc = env.process(self._monitor(), name="cluster-failover")
@@ -142,8 +147,6 @@ class FailoverController:
                     # Confirmed death (connection reset / engine kill):
                     # no grace needed, the node is gone.
                     yield from self._failover(shard, primary_dead=True)
-                    continue
-                if self.fabric is None:
                     continue
                 rtt = self.fabric.probe(CONTROL_PLANE,
                                         shard.primary.node_id)
@@ -183,7 +186,7 @@ class FailoverController:
                 # left behind, then fence the rest via the epoch bump.
                 deadline = self.env.now + max(
                     4 * self.heartbeat_interval,
-                    8 * self.fabric.config.delay if self.fabric else 0.0)
+                    8 * self.fabric.config.delay)
                 while (replication.outstanding > 0
                        and self.env.now < deadline):
                     yield self.env.timeout(self.heartbeat_interval / 4)
@@ -198,11 +201,11 @@ class FailoverController:
             if primary_dead:
                 # Replay the dead primary's WAL tail onto every replica
                 # so the whole replica group converges before
-                # promotion.  Over a fabric, salvaging a dead machine's
-                # disk is a bulk network transfer and is charged as one.
+                # promotion.  Salvaging a dead machine's disk is a bulk
+                # network transfer and is charged as one.
                 tail = yield from read_wal_tail(old_primary.fs,
                                                 old_primary.db.dbname)
-                if self.fabric is not None and tail:
+                if tail:
                     tail_bytes = sum(batch.byte_size for _f, _l, batch
                                      in tail)
                     yield self.env.timeout(

@@ -4,7 +4,10 @@ Every message the cluster sends between machines — replication ships,
 failure-detector heartbeats, WAL-tail reads during promotion — is routed
 through one :class:`NetworkFabric` so that network misbehavior is a
 first-class, seeded, reproducible input rather than an implicit perfect
-wire.  The fabric models two channel flavors:
+wire.  A cluster configured without faults still owns a fabric: the
+zero-fault wire, a fixed one-way delay with no jitter, loss,
+duplication or reorder, which draws nothing from the RNG.  The fabric
+models two channel flavors:
 
 * **Reliable channels** (replication shipping, tail reads).  Modeled on
   a TCP-like transport: an *accepted* message is never silently lost —
@@ -99,9 +102,8 @@ class NetworkFabric:
     """Routes and fault-injects every inter-node message.
 
     The fabric never owns a process: it hands out delay samples and
-    accept/refuse verdicts that callers turn into ``env.timeout`` waits,
-    so an unconfigured cluster (``fabric is None``) schedules exactly
-    the same events as before the fabric existed.
+    accept/refuse verdicts that callers turn into scheduled deliveries
+    and waits.
     """
 
     def __init__(self, env: Any, config: Optional[NetConfig] = None):

@@ -1,44 +1,41 @@
-"""Primary → replica WAL shipping with bounded lag.
+"""Primary → replica WAL shipping over the network fabric.
 
 A :class:`ReplicationLink` carries one primary's committed group-commit
 records to one replica.  The primary's commit leader calls
 :meth:`ReplicationLink.ship` (via the engine's ``wal_shipper`` hook)
-right after its WAL barrier; the link delays each record by the
-configured network/apply lag and then applies it on the replica through
-``db.write`` — i.e. through the replica's **own** group-commit path
-(``wal.group_append``), so replica state is as crash-consistent as any
-primary's.
+right after its WAL barrier; the link sends each record through the
+cluster's :class:`~repro.cluster.net.NetworkFabric` and the replica
+applies it through ``db.write`` — i.e. through the replica's **own**
+group-commit path (``wal.group_append``), so replica state is as
+crash-consistent as any primary's.
 
-The backlog is bounded: when ``max_backlog`` records are in flight,
-``ship`` blocks the primary's commit leader until the link drains —
-explicit backpressure that keeps replication lag within a configured
-bound instead of letting a slow replica fall arbitrarily behind.
+Every send is routed through the fabric.  A partitioned link refuses
+the send *synchronously* (before any scheduling point), the shipper
+retries with seeded exponential-backoff-with-jitter, and a promotion
+that bumps the shard epoch turns the next retry into a typed
+:class:`~repro.cluster.net.FencedError` — the late write is rejected
+instead of silently diverging the replica set.  Accepted messages are
+never lost (loss = retransmit delay, TCP-like); delivery may be
+delayed, duplicated, or reordered, and the replica side resequences so
+records always apply in primary-sequence order.  An unconfigured
+cluster's fabric is the zero-fault wire: every record arrives exactly
+``replication_lag`` after it was shipped, in order, once.
+
+The backlog is bounded: ``ship`` blocks the primary's commit leader
+while ``max_backlog`` records are queued behind the one being
+delivered — explicit backpressure that keeps replication lag within a
+configured bound instead of letting a slow replica fall arbitrarily
+behind.
 
 The link is deliberately *asynchronous*: an ack does not wait for the
 replica.  The durability story for acked writes therefore rests on the
 primary's own synced WAL plus failover tail replay
 (:mod:`repro.cluster.failover`), not on shipping winning a race.
-
-**Fabric mode.**  When the shard is built with a
-:class:`~repro.cluster.net.NetworkFabric`, every ship is routed through
-it: a partitioned link refuses the send *synchronously* (before any
-scheduling point), the shipper retries with seeded
-exponential-backoff-with-jitter, and a promotion that bumps the shard
-epoch turns the next retry into a typed
-:class:`~repro.cluster.net.FencedError` — the late write is rejected
-instead of silently diverging the replica set.  Accepted messages are
-never lost (loss = retransmit delay, TCP-like); delivery may be delayed,
-duplicated, or reordered, and the replica side resequences so records
-always apply in primary-sequence order.  The no-fabric code path is
-byte-for-byte the original: an unconfigured cluster schedules exactly
-the same events as before the fabric existed.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from heapq import heappop, heappush
-from typing import Any, Deque, Dict, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Tuple
 
 from ..lsm.wal import WriteBatch
 from ..sim import Condition, Environment, Event
@@ -46,25 +43,23 @@ from .net import FencedError, NetworkFabric
 
 __all__ = ["ReplicationLink", "ShardReplication"]
 
+#: One shipped record: (first_seq, last_seq, encoded batch, sent at).
+_Message = Tuple[int, int, bytes, float]
+
 
 class ReplicationLink:
     """Ships committed WAL records from one primary to one replica."""
 
     def __init__(self, env: Environment, shard_id: int, replica: Any,
-                 lag: float = 0.002, max_backlog: int = 64,
-                 fabric: Optional[NetworkFabric] = None,
+                 fabric: NetworkFabric, max_backlog: int = 64,
                  src: str = "", shard: Any = None, epoch: int = 1,
                  retry_initial: float = 0.001, retry_cap: float = 0.05):
-        if lag < 0:
-            raise ValueError("replication lag must be >= 0")
         if max_backlog < 1:
             raise ValueError("max_backlog must be >= 1")
         self.env = env
         self.shard_id = shard_id
         self.replica = replica
-        self.lag = lag
         self.max_backlog = max_backlog
-        #: Fabric routing (None -> perfect wire, the original model).
         self.fabric = fabric
         self.src = src
         self.shard = shard
@@ -73,13 +68,12 @@ class ReplicationLink:
         self.epoch = epoch
         self.retry_initial = retry_initial
         self.retry_cap = retry_cap
-        self._queue: Deque[Tuple[int, int, bytes, float]] = deque()
-        #: Fabric mode: (arrival, first_seq, last_seq, record, sent)
-        #: heap for messages on the wire, plus an arrived-but-unapplied
-        #: resequencing buffer keyed by first_seq.
-        self._wire: List[Tuple[float, int, int, bytes, float]] = []
-        self._arrived: Dict[int, Tuple[int, int, bytes, float]] = {}
+        #: Arrived-but-unapplied resequencing buffer keyed by first_seq.
+        self._arrived: Dict[int, _Message] = {}
+        #: Accepted messages (duplicates included) not yet applied or
+        #: dropped, and the subset still on the wire.
         self._outstanding = 0
+        self._in_flight = 0
         self._work = Condition(env, name=f"repl-s{shard_id}-work")
         self._space = Condition(env, name=f"repl-s{shard_id}-space")
         self._stopped = False
@@ -87,33 +81,17 @@ class ReplicationLink:
         #: Records applied on the replica / observed lag high-water mark.
         self.records_applied = 0
         self.max_lag = 0.0
-        #: Fabric-mode observability.
+        #: Out-of-order arrivals held back / duplicate deliveries dropped.
         self.resequenced = 0
         self.duplicates_dropped = 0
-        run = self._run if fabric is None else self._run_fabric
         self._proc = env.process(
-            run(), name=f"repl-s{shard_id}-{replica.node_id}")
+            self._run(), name=f"repl-s{shard_id}-{replica.node_id}")
 
     # -- primary side ---------------------------------------------------
 
     def ship(self, first_seq: int, last_seq: int, record: bytes
              ) -> Generator[Event, Any, None]:
-        """Enqueue one committed record (blocks on a full backlog)."""
-        if self.fabric is not None:
-            yield from self._ship_fabric(first_seq, last_seq, record)
-            return
-        while len(self._queue) >= self.max_backlog and not self._stopped:
-            yield self._space.wait()
-        if self._stopped:
-            # Link torn down (failover in progress): drop the record.
-            # Tail replay reads it back from the primary's synced WAL.
-            return
-        self._queue.append((first_seq, last_seq, record, self.env.now))
-        self._work.notify_one()
-
-    def _ship_fabric(self, first_seq: int, last_seq: int, record: bytes
-                     ) -> Generator[Event, Any, None]:
-        """Fabric ship: fail-fast on partition, retry with backoff, fence.
+        """Send one committed record: backpressure, retry, fence.
 
         The epoch check and the accept/refuse verdict both happen with
         no scheduling point in between the commit path's memtable insert
@@ -122,9 +100,11 @@ class ReplicationLink:
         the engine sequence at entry, and the commit leader holds the
         engine mutex until ship returns or raises).
         """
-        while self._outstanding >= self.max_backlog and not self._stopped:
+        while self.backlog >= self.max_backlog and not self._stopped:
             yield self._space.wait()
         if self._stopped:
+            # Link torn down (failover in progress): drop the record.
+            # Tail replay reads it back from the primary's synced WAL.
             return
         fabric = self.fabric
         attempt = 0
@@ -140,14 +120,17 @@ class ReplicationLink:
             attempt += 1
             yield self.env.timeout(
                 fabric.backoff(attempt, self.retry_initial, self.retry_cap))
-        now = self.env.now
-        heappush(self._wire, (now + delay, first_seq, last_seq, record, now))
-        self._outstanding += 1
+        message = (first_seq, last_seq, record, self.env.now)
+        self._send(delay, message)
         dup = fabric.duplicate_delay(delay)
         if dup is not None:
-            heappush(self._wire, (now + dup, first_seq, last_seq, record, now))
-            self._outstanding += 1
-        self._work.notify_all()
+            self._send(dup, message)
+
+    def _send(self, delay: float, message: _Message) -> None:
+        """Put one accepted message on the wire for ``delay`` seconds."""
+        self._outstanding += 1
+        self._in_flight += 1
+        self.env.call_later(delay, lambda: self._deliver(message))
 
     def _check_fence(self, first_seq: int, last_seq: int) -> None:
         """Raise FencedError when the shard has moved past our epoch."""
@@ -165,81 +148,46 @@ class ReplicationLink:
 
     @property
     def outstanding(self) -> int:
-        """Accepted-but-unapplied records (fabric) or queued (classic)."""
-        if self.fabric is None:
-            return len(self._queue)
+        """Accepted-but-unapplied messages (the failover drain waits on it)."""
         return self._outstanding
+
+    @property
+    def backlog(self) -> int:
+        """Records queued behind the one being delivered."""
+        return max(0, self._outstanding - 1)
 
     # -- replica side ---------------------------------------------------
 
-    def _run(self) -> Generator[Event, Any, None]:
-        while True:
-            if self._stopped:
-                return
-            if not self._queue:
-                yield self._work.wait()
-                continue
-            first_seq, last_seq, record, enqueued = self._queue.popleft()
-            self._space.notify_one()
-            target = enqueued + self.lag
-            if self.env.now < target:
-                yield self.env.timeout(target - self.env.now)
-            if self._severed:
-                # The record was still in flight on the wire when the
-                # primary died: it never arrived.  Failover recovers it
-                # from the dead node's WAL tail.
-                return
-            if last_seq <= self.replica.applied_primary_seq:
-                continue  # already applied (failover replayed past it)
-            if self.shard is not None and self.epoch < self.shard.epoch:
-                # Stale-epoch delivery (gray failure: the old primary
-                # could still reach this replica after promotion).
-                self.shard.note_fenced_ship(last_seq - first_seq + 1)
-                continue
-            _first, batch = WriteBatch.decode(record)
-            yield from self.replica.db.write(batch)
-            self.replica.applied_primary_seq = last_seq
-            self.records_applied += 1
-            lag = self.env.now - enqueued
-            if lag > self.max_lag:
-                self.max_lag = lag
-            tracer = self.env.tracer
-            if tracer.enabled:
-                tracer.gauge(f"cluster.shard{self.shard_id}.replication_lag",
-                             lag)
-                tracer.count("cluster.records_shipped")
+    def _deliver(self, message: _Message) -> None:
+        """A message comes off the wire into the resequencing buffer."""
+        self._in_flight -= 1
+        if self._severed:
+            return  # the connection reset dropped it (counted by sever)
+        first = message[0]
+        if first in self._arrived:
+            # Duplicate delivery of an in-buffer record.
+            self.duplicates_dropped += 1
+            self._outstanding -= 1
+            self._space.notify_all()
+        else:
+            self._arrived[first] = message
+        self._work.notify_all()
 
-    def _run_fabric(self) -> Generator[Event, Any, None]:
-        """Receive loop: resequence arrivals, apply in seq order."""
-        env = self.env
+    def _run(self) -> Generator[Event, Any, None]:
+        """Receive loop: apply arrivals in seq order until torn down."""
         while True:
-            # Move everything that has arrived off the wire.
-            now = env.now
-            while self._wire and self._wire[0][0] <= now:
-                _arrival, first, last, record, sent = heappop(self._wire)
-                if first in self._arrived:
-                    # Duplicate delivery of an in-buffer record.
-                    self.duplicates_dropped += 1
-                    self._outstanding -= 1
-                    self._space.notify_all()
-                    continue
-                self._arrived[first] = (first, last, record, sent)
             progressed = yield from self._apply_arrived()
             if progressed:
                 continue
-            if self._stopped and not self._wire:
+            if self._stopped and (self._severed or not self._in_flight):
                 # A sever can drop a record's predecessor off the wire
                 # and leave an unappliable gap behind; failover tail
                 # replay supersedes whatever is left, so discard it.
-                for first in sorted(self._arrived):
-                    del self._arrived[first]
-                    self._outstanding -= 1
+                self._outstanding -= len(self._arrived)
+                self._arrived.clear()
                 self._space.notify_all()
                 return
-            waits = [self._work.wait()]
-            if self._wire:
-                waits.append(env.timeout(self._wire[0][0] - env.now))
-            yield env.any_of(waits)
+            yield self._work.wait()
 
     def _apply_arrived(self) -> Generator[Event, Any, bool]:
         """Apply every in-order record in the buffer; True if any."""
@@ -306,23 +254,16 @@ class ReplicationLink:
     def sever(self) -> None:
         """Primary death: lose everything not yet *delivered*.
 
-        Shipped-but-undelivered records model bytes in flight on the
-        wire — a dead primary's connection reset drops them, so they are
-        cleared here and only the WAL tail can bring them back.  A
-        record mid-apply on the replica has already arrived and is
-        allowed to finish (never torn).  In fabric mode the same rule
-        holds per message: wire in-flight is dropped, records already
-        arrived at the replica survive and drain.
+        Messages still on the wire model bytes in flight — a dead
+        primary's connection reset drops them (their delivery callbacks
+        find the link severed and discard them), so only the WAL tail
+        can bring them back.  Records already arrived at the replica
+        survive and drain; a record mid-apply is allowed to finish
+        (never torn).
         """
         self._severed = True
         self._stopped = True
-        self._queue.clear()
-        if self.fabric is not None:
-            now = self.env.now
-            kept = [entry for entry in self._wire if entry[0] <= now]
-            dropped = len(self._wire) - len(kept)
-            self._wire = kept
-            self._outstanding -= dropped
+        self._outstanding -= self._in_flight
         self._work.notify_all()
         self._space.notify_all()
 
@@ -330,12 +271,10 @@ class ReplicationLink:
         """Tear the link down; an in-flight apply finishes first.
 
         Never interrupts the apply coroutine: a half-delivered group on a
-        live replica would corrupt its write path.  Whatever is left in
-        the classic backlog is discarded — failover tail replay re-reads
-        those records from the primary's surviving WAL files.  In fabric
-        mode, accepted messages still on the wire are delivered and
-        applied first (the reliable-channel guarantee), unless a sever
-        already dropped them.
+        live replica would corrupt its write path.  Accepted messages
+        still on the wire are delivered and applied first (the
+        reliable-channel guarantee), unless a sever already dropped
+        them.
         """
         self._stopped = True
         self._work.notify_all()
@@ -390,10 +329,10 @@ class ShardReplication:
 
     @property
     def backlog(self) -> int:
-        """Records currently queued across links."""
-        return sum(len(link._queue) for link in self.links)
+        """Records queued behind the one being delivered, across links."""
+        return sum(link.backlog for link in self.links)
 
     @property
     def outstanding(self) -> int:
-        """Accepted-but-unapplied records across links (fabric drain)."""
+        """Accepted-but-unapplied messages across links (failover drain)."""
         return sum(link.outstanding for link in self.links)

@@ -17,6 +17,11 @@ replays that WAL tail before readmitting traffic.  Scans are
 snapshot-consistent *per shard* only; the merged result is not a
 cross-shard atomic snapshot.
 
+Every inter-node message — replication ships, heartbeat probes, tail
+salvage — crosses the store's one
+:class:`~repro.cluster.net.NetworkFabric`; an unconfigured store's
+fabric is the zero-fault wire (see :class:`ClusterConfig`).
+
 Requests that land on a shard whose primary just died are not failed:
 they park on the shard's ready-condition, and the in-flight ones racing
 the kill are abandoned and retried after failover.  Availability is
@@ -59,9 +64,11 @@ class ClusterConfig:
     num_shards: int = 4
     replicas_per_shard: int = 1
     partitioner: str = "hash"
-    #: Ship→apply delivery delay per record, seconds.
+    #: One-way delay of the default zero-fault wire, seconds (a
+    #: configured ``net`` carries its own ``delay`` instead).
     replication_lag: float = 0.002
-    #: Records in flight per link before ship() backpressures.
+    #: Records queued behind the one being delivered, per link, before
+    #: ship() backpressures.
     max_backlog: int = 64
     #: Primary liveness poll interval of the failover controller.
     heartbeat_interval: float = 0.005
@@ -70,17 +77,19 @@ class ClusterConfig:
     #: None -> the scaled SATA SSD profile at ``scale``.
     device: Optional[DeviceProfile] = None
     scale: int = 1024
-    #: None -> perfect wire (the original model, byte-identical).
-    #: Configured -> every inter-node message routes through a
-    #: :class:`~repro.cluster.net.NetworkFabric` built from this.
+    #: Every inter-node message routes through a
+    #: :class:`~repro.cluster.net.NetworkFabric` built from this.  None
+    #: -> the zero-fault wire: ``replication_lag`` one-way, no jitter,
+    #: loss, duplication or reorder.
     net: Optional[NetConfig] = None
     #: Consecutive heartbeat probe misses tolerated before failover
-    #: (fabric mode only; an isolated lost probe is not a dead primary).
+    #: (an isolated lost probe is not a dead primary).
     grace_misses: int = 3
     #: Probe round trips slower than this count as a miss (gray
-    #: failure).  None -> the heartbeat interval.
+    #: failure).  None -> the heartbeat interval, or the wire's slowest
+    #: round trip when that is longer.
     probe_timeout: Optional[float] = None
-    #: Retry/backoff envelope for fabric-mode shipping and parked ops.
+    #: Retry/backoff envelope for refused ships and parked ops.
     retry_initial: float = 0.001
     retry_cap: float = 0.05
 
@@ -121,17 +130,15 @@ class Shard:
     """One key range's replica group: a primary plus R replicas."""
 
     def __init__(self, env: Environment, shard_id: int, primary: ClusterNode,
-                 replicas: List[ClusterNode], replication_lag: float,
-                 max_backlog: int, fabric: Optional[NetworkFabric] = None,
-                 retry_initial: float = 0.001, retry_cap: float = 0.05):
+                 replicas: List[ClusterNode], fabric: NetworkFabric,
+                 max_backlog: int = 64, retry_initial: float = 0.001,
+                 retry_cap: float = 0.05):
         self.env = env
         self.shard_id = shard_id
         self.primary = primary
         self.replicas = list(replicas)
-        self.replication_lag = replication_lag
         self.max_backlog = max_backlog
-        #: None -> perfect wire; set -> all shard traffic is routed and
-        #: fault-injected through the fabric.
+        #: All shard traffic is routed and fault-injected through it.
         self.fabric = fabric
         self.retry_initial = retry_initial
         self.retry_cap = retry_cap
@@ -168,9 +175,8 @@ class Shard:
         """
         if self.replicas:
             links = [ReplicationLink(self.env, self.shard_id, replica,
-                                     lag=self.replication_lag,
+                                     self.fabric,
                                      max_backlog=self.max_backlog,
-                                     fabric=self.fabric,
                                      src=self.primary.node_id,
                                      shard=self, epoch=self.epoch,
                                      retry_initial=self.retry_initial,
@@ -208,13 +214,10 @@ class Shard:
     def primary_reachable(self) -> bool:
         """True while clients (control plane) can reach the primary.
 
-        Always true without a fabric; with one, a partition between the
-        control plane and the primary parks new requests instead of
-        letting them execute on a primary whose answers could not have
-        crossed the cut.
+        A partition between the control plane and the primary parks new
+        requests instead of letting them execute on a primary whose
+        answers could not have crossed the cut.
         """
-        if self.fabric is None:
-            return True
         return self.fabric.reachable(CONTROL_PLANE, self.primary.node_id)
 
     def mark_primary_down(self) -> None:
@@ -258,8 +261,8 @@ class Shard:
         primary, then retries there.  A shard with nobody left to
         promote fails the request with :class:`ShardDownError`.
 
-        Fabric mode adds three rules.  An unreachable primary parks the
-        request too (exponential backoff with seeded jitter, since a
+        Three more rules cover the network.  An unreachable primary parks
+        the request too (exponential backoff with seeded jitter, since a
         partition can heal without any promotion to notify ``ready``).
         An operation that completes under a *different* epoch than it
         was dispatched under is discarded and retried — its response
@@ -275,13 +278,10 @@ class Shard:
                    or (self.state == SHARD_ACTIVE
                        and (not self.primary_alive
                             or not self.primary_reachable))):
-                if self.fabric is None:
-                    yield self.ready.wait()
-                else:
-                    pause = self.env.timeout(
-                        self.fabric.backoff(1, backoff, self.retry_cap))
-                    yield self.env.any_of([self.ready.wait(), pause])
-                    backoff = min(backoff * 2.0, self.retry_cap)
+                pause = self.env.timeout(
+                    self.fabric.backoff(1, backoff, self.retry_cap))
+                yield self.env.any_of([self.ready.wait(), pause])
+                backoff = min(backoff * 2.0, self.retry_cap)
             if self.state == SHARD_FAILED:
                 raise ShardDownError(
                     f"shard {self.shard_id} has no live primary")
@@ -396,33 +396,31 @@ class ClusterStore:
         self.config = config
         self.name = name
         self.health = _ClusterHealth(store=self)
-        #: The simulated network every inter-node message routes
-        #: through; None (the default) is the original perfect wire.
-        self.fabric: Optional[NetworkFabric] = (
-            NetworkFabric(env, config.net) if config.net is not None
-            else None)
+        #: The simulated network every inter-node message routes through.
+        self.fabric = NetworkFabric(
+            env, config.net if config.net is not None
+            else NetConfig(delay=config.replication_lag, jitter=0.0))
         self.shards: List[Shard] = []
         for shard_id in range(config.num_shards):
             primary = self._new_node(f"{name}{shard_id}p", "primary")
             replicas = [self._new_node(f"{name}{shard_id}r{i}", "replica")
                         for i in range(config.replicas_per_shard)]
             self.shards.append(Shard(env, shard_id, primary, replicas,
-                                     config.replication_lag,
-                                     config.max_backlog,
-                                     fabric=self.fabric,
+                                     self.fabric,
+                                     max_backlog=config.max_backlog,
                                      retry_initial=config.retry_initial,
                                      retry_cap=config.retry_cap))
         partitioner = make_partitioner(config.partitioner, config.num_shards)
         self.router = ShardRouter(self.shards, partitioner)
         self.failover = FailoverController(
-            env, self.shards, heartbeat_interval=config.heartbeat_interval,
-            fabric=self.fabric, grace_misses=config.grace_misses,
+            env, self.shards, self.fabric,
+            heartbeat_interval=config.heartbeat_interval,
+            grace_misses=config.grace_misses,
             probe_timeout=config.probe_timeout)
-        if self.fabric is not None:
-            # A heal can restore reachability without any promotion to
-            # notify ready-parked requests: wake them to re-check.
-            for shard in self.shards:
-                self.fabric.on_heal(shard.ready.notify_all)
+        # A heal can restore reachability without any promotion to
+        # notify ready-parked requests: wake them to re-check.
+        for shard in self.shards:
+            self.fabric.on_heal(shard.ready.notify_all)
 
     def _new_node(self, node_id: str, role: str) -> ClusterNode:
         device = BlockDevice(self.env, self.config.resolved_device())
@@ -446,7 +444,7 @@ class ClusterStore:
         """The current primary of each shard, in shard order."""
         return [shard.primary for shard in self.shards]
 
-    # -- nemesis surface (fabric mode) -----------------------------------
+    # -- nemesis surface -------------------------------------------------
 
     def partition_primary(self, shard_id: int) -> ClusterNode:
         """Symmetrically cut one shard's primary off from everything.
@@ -455,9 +453,6 @@ class ClusterStore:
         is exactly the scenario epoch fencing exists for.  Returns the
         victim node so a nemesis can track it.
         """
-        if self.fabric is None:
-            raise ValueError("partition_primary requires a network fabric "
-                             "(ClusterConfig.net)")
         victim = self.shards[shard_id].primary
         others = [CONTROL_PLANE] + [node.node_id for node in self.nodes()
                                     if node is not victim]
@@ -466,8 +461,7 @@ class ClusterStore:
 
     def heal_network(self) -> None:
         """Remove every partition and wake parked requests."""
-        if self.fabric is not None:
-            self.fabric.heal()
+        self.fabric.heal()
 
     # -- operation surface (Server backend) ------------------------------
 
@@ -582,7 +576,7 @@ class ClusterStore:
     def describe(self) -> Dict[str, Any]:
         """Structured status of every shard plus cluster totals."""
         shards = [shard.describe() for shard in self.shards]
-        out = {
+        return {
             "num_shards": len(self.shards),
             "partitioner": self.router.partitioner.kind,
             "failovers": sum(s["failovers"] for s in shards),
@@ -595,7 +589,5 @@ class ClusterStore:
             "partition_promotions": sum(
                 s["partition_promotions"] for s in shards),
             "shards": shards,
+            "net": self.fabric.snapshot(),
         }
-        if self.fabric is not None:
-            out["net"] = self.fabric.snapshot()
-        return out

@@ -194,12 +194,26 @@ class TestFailover:
     def test_promotes_freshest_replica_and_replays_tail(self):
         env, cluster = make_cluster(num_shards=1, replicas=2, lag=0.001)
         shard = cluster.shards[0]
-        # Handicap replica 1: its link is 50x slower, so replica 0 is
-        # strictly fresher at the kill.
-        shard.replication.links[1].lag = 0.05
-        for i in range(50):
+        # Handicap replica 1: every apply on it costs an extra 5 ms, so
+        # replica 0 is strictly fresher at the kill.
+        slow = shard.replicas[1]
+        fast_write = slow.db.write
+
+        def slow_write(batch):
+            yield env.timeout(0.005)
+            return (yield from fast_write(batch))
+
+        slow.db.write = slow_write
+        for i in range(25):
+            cluster.put_sync(b"fresh%04d" % i, b"z" * 24)
+        advance(env, 0.003)  # replica 0 catches up; replica 1 cannot
+        # This half is still on the wire at the kill: only the WAL tail
+        # can bring it back.
+        for i in range(25, 50):
             cluster.put_sync(b"fresh%04d" % i, b"z" * 24)
         victim_seq = shard.primary.db.versions.last_sequence
+        assert (shard.replicas[0].applied_primary_seq
+                > shard.replicas[1].applied_primary_seq)
         shard.kill_primary()
         advance(env, 0.5)
         assert shard.state == SHARD_ACTIVE
@@ -229,6 +243,21 @@ class TestFailover:
             assert shard.failovers == generation + 1
         assert cluster.get_sync(b"gen0") == b"v0"
         assert cluster.get_sync(b"gen1") == b"v1"
+        cluster.close_sync()
+
+    def test_slow_wire_is_not_a_dead_primary(self):
+        # The zero-fault wire's heartbeat round trip (2 x 5 ms) is far
+        # above the 2 ms heartbeat: the probe timeout must follow the
+        # wire, or every probe misses and a live primary is promoted
+        # away.
+        env, cluster = make_cluster(num_shards=1, replicas=1, lag=0.005)
+        for i in range(20):
+            cluster.put_sync(b"idle%04d" % i, b"i" * 16)
+        advance(env, 0.5)
+        shard = cluster.shards[0]
+        assert shard.partition_promotions == 0
+        assert shard.failovers == 0
+        assert shard.epoch == 1
         cluster.close_sync()
 
     def test_shard_with_no_replicas_fails_typed(self):
@@ -325,17 +354,17 @@ class TestWalTailForeignFiles:
 
 
 class TestSeverRace:
-    """A record consumed off the link queue but not yet applied when the
-    primary dies is in flight on the wire: it must be dropped (recovered
-    only via WAL-tail replay), never applied late or double-counted."""
+    """A record shipped but not yet delivered when the primary dies is
+    in flight on the wire: it must be dropped (recovered only via
+    WAL-tail replay), never applied late or double-counted."""
 
     def test_in_flight_record_neither_leaks_nor_double_counts(self):
         env, cluster = make_cluster(num_shards=1, replicas=1, lag=0.05)
         shard = cluster.shards[0]
         cluster.put_sync(b"sever-key", b"v1")
         link = shard.replication.links[0]
-        # Let the link consume the record and start its 50 ms in-flight
-        # delay: consumed-not-applied is exactly the race window.
+        # 10 ms into the record's 50 ms flight: shipped-not-delivered
+        # is exactly the race window.
         advance(env, 0.01)
         assert link.records_applied == 0
         assert shard.replicas[0].applied_primary_seq == 0
@@ -627,17 +656,17 @@ class TestAnalysisCleanliness:
         env.sanitizer.check()
 
 
-class TestClassicLinkFencing:
-    """The no-fabric link must fence stale-epoch deliveries (SIM009).
+class TestLinkEpochFencing:
+    """A link must fence stale-epoch deliveries (SIM009).
 
-    A record still queued on a classic link when the shard moves to a
-    newer epoch is stale-primary traffic: it must be counted as fenced
-    and dropped, never applied to the (possibly promoted) replica —
-    the same guard the fabric resequencing path has always had.
+    A record still on the wire when the shard moves to a newer epoch is
+    stale-primary traffic: it must be counted as fenced and dropped,
+    never applied to the (possibly promoted) replica.
     """
 
     @staticmethod
     def _harness(env):
+        from repro.cluster import NetConfig, NetworkFabric
         from repro.cluster.replication import ReplicationLink
         from repro.lsm import WriteBatch
 
@@ -663,8 +692,8 @@ class TestClassicLinkFencing:
 
         shard = FakeShard()
         replica = FakeReplica()
-        link = ReplicationLink(env, 0, replica, lag=0.001,
-                               shard=shard, epoch=1)
+        fabric = NetworkFabric(env, NetConfig(jitter=0.0))
+        link = ReplicationLink(env, 0, replica, fabric, shard=shard, epoch=1)
         batch = WriteBatch()
         batch.put(b"k", b"v")
         record = batch.encode(1)
@@ -679,7 +708,7 @@ class TestClassicLinkFencing:
     def test_stale_epoch_record_is_fenced_not_applied(self, env):
         shard, replica, link, record = self._harness(env)
         env.run_until(env.process(link.ship(1, 1, record)))
-        shard.epoch = 2  # promotion happens while the record is queued
+        shard.epoch = 2  # promotion happens while the record is in flight
         self._settle(env)
         assert replica.db.applied == 0
         assert shard.fenced_ops == 1
