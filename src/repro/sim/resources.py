@@ -46,11 +46,6 @@ class Resource:
         """Number of slots currently held."""
         return self._in_use
 
-    @property
-    def queue_length(self) -> int:
-        """Number of acquirers queued for a slot."""
-        return len(self._waiters)
-
     def acquire(self) -> Event:
         """Return an event that succeeds once a slot is granted."""
         self.total_acquisitions += 1
@@ -168,11 +163,6 @@ class Gate:
         self.name = name
         self._open = open_
         self._waiters: List[Event] = []
-
-    @property
-    def is_open(self) -> bool:
-        """True while waiters pass through without blocking."""
-        return self._open
 
     def close(self) -> None:
         """Close the gate: subsequent waiters block."""

@@ -341,10 +341,6 @@ class SimFS:
         """Sum of on-disk footprints (holes excluded) — disk usage."""
         return sum(f.allocated_bytes for f in self._files.values())
 
-    def total_logical_bytes(self) -> int:
-        """Sum of every file's logical size."""
-        return sum(f.size for f in self._files.values())
-
     # -- capacity (ENOSPC model) -------------------------------------------
 
     def set_capacity(self, capacity_bytes: Optional[int]) -> None:

@@ -10,7 +10,7 @@ bytes live in :class:`~repro.storage.filesystem.SimFile`.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterable, Tuple
+from typing import Tuple
 
 __all__ = ["PageCache", "PAGE_SIZE"]
 
@@ -79,10 +79,6 @@ class PageCache:
     def drop_all(self) -> None:
         """Empty the cache (post-crash cold start)."""
         self._pages.clear()
-
-    def resident_pages(self) -> Iterable[Tuple[int, int]]:
-        """Iterate over resident ``(file_id, page_index)`` pairs."""
-        return iter(self._pages)
 
     @property
     def hit_ratio(self) -> float:
